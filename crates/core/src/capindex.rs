@@ -6,8 +6,9 @@
 //! [`CapabilityFacts`](csqp_ssdl::facts::CapabilityFacts) into
 //! federation-wide inverted bitset postings over dense member ids, so
 //! "which sources could possibly answer this condition shape?" resolves by
-//! a handful of [`SymSet`] intersections — no grammar is parsed for members
-//! the index rules out.
+//! a handful of [`SymSet`] intersections (one more per DNF term of a
+//! disjunctive query) — no grammar is parsed for members the index rules
+//! out.
 //!
 //! ## Layout
 //!
@@ -28,7 +29,7 @@
 //! Candidates are a **superset** of the truly feasible members — full
 //! `Check`-based planning remains the oracle and answers stay
 //! byte-identical (the differential suite in
-//! `tests/capindex_differential.rs` enforces this). Three pruning rules,
+//! `tests/capindex_differential.rs` enforces this). Four pruning rules,
 //! each justified by "rewritings never invent atoms absent from the query":
 //!
 //! 1. **Projection** — every requested attribute must be in the member's
@@ -40,12 +41,36 @@
 //!    Applied **only when the query's atoms are pairwise distinct**: with
 //!    duplicated atoms the absorption rewrite `a _ (a ^ y) ≡ a` can drop an
 //!    atom entirely, and the rule would over-prune.
+//! 4. **Per-term entry** — expand the query condition into DNF terms over
+//!    its distinct atoms (a repeated atom is one variable). For *every*
+//!    term, the member must be downloadable, own an always-enterable form,
+//!    have a grammar that is not `_`-free, or own a form whose required
+//!    classes are all among that term's atom classes. Past
+//!    [`MAX_ENTRY_TERMS`](csqp_ssdl::facts::MAX_ENTRY_TERMS) terms (or 64
+//!    distinct atoms) the rule is skipped, never guessed.
+//!
+//!    Why it is sound: every leaf of an IPG/GenModular plan is `SP(C)`,
+//!    with `C` built from query atoms only. On a `_`-free grammar every
+//!    accepted `C` is a conjunction. Plans combine their leaves with ∪, ∩
+//!    and local filters, all monotone, and the plan is propositionally
+//!    equivalent to the query (every rewrite is a propositional identity).
+//!    Take the truth assignment that makes exactly one DNF term's atoms
+//!    true. The query is true under it, so some leaf `C` must be true, so
+//!    `atoms(C)` ⊆ that term, so the form accepting `C` has its required
+//!    classes inside that term's classes. Rule 2 is the same test on the
+//!    union of all terms, so it still decides for `_`-grammar members.
+//!
+//! Rule 4 runs on the interned class keys rule 2 already resolved: each
+//! class key maps to the bitmask of the query atoms carrying it, and a term
+//! (an atom bitmask) contains a key iff the two masks intersect. Rule 2
+//! records those masks for every group it enters, so rule 4 tests a term
+//! with bit operations alone — no key is formatted or looked up per term.
 
 use crate::types::TargetQuery;
 use csqp_expr::{Interner, Sym, SymSet};
 use csqp_source::Source;
-use csqp_ssdl::facts::CapabilityFacts;
-use std::collections::{HashMap, HashSet};
+use csqp_ssdl::facts::{AtomTerms, CapabilityFacts};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The outcome of an index probe for one query: the surviving member ids
@@ -88,6 +113,9 @@ pub struct CapabilityIndex {
     always_entry: SymSet,
     /// Members with a download (`true`) rule.
     downloadables: SymSet,
+    /// Members rule 4 never prunes: downloadable, always enterable, or
+    /// with a grammar that is not `_`-free.
+    term_exempt: SymSet,
     /// All member ids.
     all: SymSet,
     n_sources: usize,
@@ -150,6 +178,9 @@ impl CapabilityIndex {
         if facts.downloadable {
             self.downloadables.insert(id);
         }
+        if facts.downloadable || !facts.conjunctive {
+            self.term_exempt.insert(id);
+        }
         for form in &facts.forms {
             // ⊤ (non-productive) forms can never match — not indexed.
             let Some(required) = &form.required else { continue };
@@ -166,6 +197,7 @@ impl CapabilityIndex {
             keys.sort_unstable();
             if keys.is_empty() {
                 self.always_entry.insert(id);
+                self.term_exempt.insert(id);
                 continue;
             }
             let keys: Box<[Sym]> = keys.into();
@@ -207,18 +239,21 @@ impl CapabilityIndex {
             }
         }
 
-        let atoms = query.cond.atoms();
-        // The query's class-key set, for required-group containment: each
-        // atom satisfies both its exact class key and the wildcard key.
-        // (A hash set, not a SymSet: class symbols are sparse in the
+        // Each distinct atom's class keys, resolved once per query, as a map
+        // from class-key symbol to the bitmask of atoms carrying that key.
+        // An atom satisfies both its exact class key and the wildcard key.
+        // (A hash map, not a SymSet: class symbols are sparse in the
         // federation-wide interner space.)
-        let mut class_syms: HashSet<Sym> = HashSet::new();
-        for a in &atoms {
-            if let Some(sym) = self.interner.lookup(&format!("c:{}:{}", a.attr, a.op)) {
-                class_syms.insert(sym);
-            }
-            if let Some(sym) = self.interner.lookup(&format!("c:{}:*", a.attr)) {
-                class_syms.insert(sym);
+        let terms = AtomTerms::of(&query.cond);
+        let mut class_atoms: HashMap<Sym, u64> = HashMap::new();
+        for (i, a) in terms.atoms.iter().enumerate() {
+            // Atoms past the 64th share bit 63; only rule 4 reads the bits,
+            // and it is skipped for such queries.
+            let bit = 1u64 << i.min(63);
+            for key in [format!("c:{}:{}", a.attr, a.op), format!("c:{}:*", a.attr)] {
+                if let Some(sym) = self.interner.lookup(&key) {
+                    *class_atoms.entry(sym).or_default() |= bit;
+                }
             }
         }
 
@@ -229,11 +264,26 @@ impl CapabilityIndex {
         // (Union order over an unordered set is irrelevant: the result set
         // is the same whichever way the unions associate.)
         let mut entry = self.downloadables.union(&self.always_entry);
-        for key in &class_syms {
+        // Each entered group keeps its required keys' atom masks (a range of
+        // `needs`) for rule 4, so no key is looked up per term.
+        let mut entered: Vec<(usize, usize, usize)> = Vec::new();
+        let mut needs: Vec<u64> = Vec::new();
+        for key in class_atoms.keys() {
             for &gid in self.groups_by_rep.get(key).map_or(&[][..], Vec::as_slice) {
                 let (required, members) = &self.required_groups[gid];
-                if required.iter().all(|k| class_syms.contains(k)) {
+                let start = needs.len();
+                let contained = required.iter().all(|k| match class_atoms.get(k) {
+                    Some(&atoms) => {
+                        needs.push(atoms);
+                        true
+                    }
+                    None => false,
+                });
+                if contained {
                     entry.union_with(members);
+                    entered.push((gid, start, needs.len()));
+                } else {
+                    needs.truncate(start);
                 }
             }
         }
@@ -244,9 +294,8 @@ impl CapabilityIndex {
 
         // Rule 3 — enforcement, only under pairwise-distinct atoms (see
         // module docs: absorption can drop duplicated atoms).
-        let distinct = atoms.iter().enumerate().all(|(i, a)| !atoms[..i].contains(a));
-        if distinct {
-            for a in &atoms {
+        if terms.atoms_distinct {
+            for a in &terms.atoms {
                 let mut ok = SymSet::new();
                 if let Some(p) = self.posting(&format!("m:{}:{}", a.attr, a.op)) {
                     ok.union_with(p);
@@ -263,6 +312,22 @@ impl CapabilityIndex {
                 }
             }
         }
+
+        // Rule 4 — per-term entry (see module docs for the soundness
+        // argument). Only the groups rule 2 entered can enter a term, since
+        // a term's classes are a subset of the query's.
+        for term in terms.terms.into_iter().flatten() {
+            if cand.is_subset(&self.term_exempt) {
+                break;
+            }
+            let mut ok = self.term_exempt.clone();
+            for &(gid, start, end) in &entered {
+                if needs[start..end].iter().all(|atoms| atoms & term != 0) {
+                    ok.union_with(&self.required_groups[gid].1);
+                }
+            }
+            cand.intersect_with(&ok);
+        }
         done(cand)
     }
 }
@@ -270,6 +335,7 @@ impl CapabilityIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mediator::Mediator;
     use csqp_expr::ValueType;
     use csqp_relation::datagen;
     use csqp_source::CostParams;
@@ -356,9 +422,142 @@ mod tests {
         assert_eq!(ids(&d), vec![1], "entry rule still applies");
     }
 
+    fn source(ssdl: &str) -> Arc<Source> {
+        Arc::new(Source::new(
+            datagen::cars(3, 60),
+            parse_ssdl(ssdl).unwrap(),
+            CostParams::new(10.0, 1.0),
+        ))
+    }
+
+    /// `mirrors()` plus members spanning rule 4's cases: single-form
+    /// conjunctive mirrors, a `_`-grammar member, and a member with an
+    /// always-enterable form.
+    fn rule_four_members() -> Vec<Arc<Source>> {
+        let mut members = mirrors();
+        members.extend([
+            // 3: make ^ price only.
+            source(
+                "source mp {\n s1 -> make = $str ^ price < $int ;\n\
+                 attributes :: s1 : { make, model, year, color, price } ;\n}",
+            ),
+            // 4: make ^ color only.
+            source(
+                "source mc {\n s1 -> make = $str ^ color = $str ;\n\
+                 attributes :: s1 : { make, model, year, color, price } ;\n}",
+            ),
+            // 5: a make ^ price form plus a make value list (`_` grammar).
+            source(
+                "source ml {\n s1 -> make = $str ^ price < $int ;\n\
+                 s2 -> makes ;\n makes -> make = $str | make = $str _ makes ;\n\
+                 attributes :: s1 : { make, model, year, color, price } ;\n\
+                 attributes :: s2 : { make, model, year } ;\n}",
+            ),
+            // 6: make ^ price plus an optional-only (always enterable) form.
+            source(
+                "source mo {\n s1 -> make = $str ^ price < $int ;\n\
+                 s2 -> opt ;\n opt -> year = $int | ;\n\
+                 attributes :: s1 : { make, model, year, color, price } ;\n\
+                 attributes :: s2 : { make, model, year } ;\n}",
+            ),
+        ]);
+        members
+    }
+
+    /// Candidates under rules 1–3 alone: the per-source facts oracle with
+    /// every member treated as not `_`-free.
+    fn rules_one_to_three(members: &[Arc<Source>], query: &TargetQuery) -> Vec<u32> {
+        let attrs: BTreeSet<String> = query.attrs.iter().cloned().collect();
+        (0..members.len() as u32)
+            .filter(|&i| {
+                let facts = CapabilityFacts {
+                    conjunctive: false,
+                    ..members[i as usize].capability_facts().clone()
+                };
+                facts.may_support(&query.cond, &attrs)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn per_term_entry_prunes_mirror_lacking_a_disjuncts_form() {
+        let members = rule_four_members();
+        let idx = CapabilityIndex::build(&members);
+        // Disjuncts need make^price and make^color: the single-form
+        // mirrors each lack one; the dealer holds both.
+        let query =
+            q("(make = \"BMW\" ^ price < 40000) _ (make = \"Audi\" ^ color = \"red\")", &["model"]);
+        let d = idx.candidates(&query);
+        assert_eq!(ids(&d), vec![0, 1, 5, 6]);
+        assert_eq!(rules_one_to_three(&members, &query), vec![0, 1, 3, 4, 5, 6]);
+        // A pure conjunction: rule 4 is rule 2 again.
+        let d = idx.candidates(&q("make = \"BMW\" ^ price < 40000", &["model"]));
+        assert_eq!(ids(&d), vec![0, 1, 3, 5, 6]);
+    }
+
+    #[test]
+    fn per_term_entry_exempts_download_list_and_optional_members() {
+        let members = rule_four_members();
+        let idx = CapabilityIndex::build(&members);
+        // The second disjunct holds no member's form: every conjunctive
+        // member without an escape is pruned, the exempt ones stay.
+        let d = idx.candidates(&q(
+            "(make = \"BMW\" ^ price < 40000) _ (make = \"Audi\" ^ year > 2018)",
+            &["model"],
+        ));
+        assert_eq!(ids(&d), vec![1, 5, 6], "download-only, `_` grammar, always enterable");
+        assert!(!members[5].capability_facts().conjunctive);
+        assert!(members[3].capability_facts().conjunctive);
+    }
+
+    #[test]
+    fn per_term_entry_is_skipped_past_the_term_cap() {
+        let members = rule_four_members();
+        let idx = CapabilityIndex::build(&members);
+        // (mp-disjunct _ year) ^ (p0 _ p1) ^ … : 2 × 2^6 = 128 DNF terms,
+        // past the cap. Half the terms hold no make ^ price, so rule 4
+        // would prune mp if it ran.
+        let filler = (0..6).map(|i| format!(" ^ (price < {i} _ price > {i})")).collect::<String>();
+        let cond = format!("((make = \"BMW\" ^ price < 40000) _ year > 2018){filler}");
+        let query = q(&cond, &["model"]);
+        assert!(AtomTerms::of(&query.cond).terms.is_none());
+        let d = idx.candidates(&query);
+        assert!(d.is_candidate(3), "skipped rule must not prune mp");
+        assert_eq!(ids(&d), rules_one_to_three(&members, &query));
+        // Under the cap (one filler pair: 4 terms) it prunes mp.
+        let query = q(
+            "((make = \"BMW\" ^ price < 40000) _ year > 2018) ^ (price < 0 _ price > 0)",
+            &["model"],
+        );
+        assert!(!idx.candidates(&query).is_candidate(3));
+    }
+
+    #[test]
+    fn per_term_entry_stays_sound_with_duplicate_atoms() {
+        let members = rule_four_members();
+        let idx = CapabilityIndex::build(&members);
+        // Absorption: `p _ (p ^ c)` ≡ `p`, so mp can answer it with one
+        // source query. The repeated atom is one DNF variable, and the
+        // term `p ^ c` contains mp's form.
+        let query = q(
+            "(make = \"BMW\" ^ price < 40000) _ \
+             (make = \"BMW\" ^ price < 40000 ^ color = \"red\")",
+            &["model"],
+        );
+        assert!(Mediator::new(members[3].clone()).plan(&query).is_ok());
+        let d = idx.candidates(&query);
+        assert!(d.is_candidate(3));
+        // A duplicated atom in a disjunct lacking the form still prunes:
+        // the term `m ^ c` (make = "BMW" twice) holds no make ^ price.
+        let query =
+            q("(make = \"BMW\" ^ price < 40000) _ (make = \"BMW\" ^ color = \"red\")", &["model"]);
+        assert!(Mediator::new(members[3].clone()).plan(&query).is_err());
+        assert!(!idx.candidates(&query).is_candidate(3));
+    }
+
     #[test]
     fn agrees_with_per_source_facts_oracle() {
-        let members = mirrors();
+        let members = rule_four_members();
         let idx = CapabilityIndex::build(&members);
         let queries = [
             q("make = \"BMW\" ^ price < 40000", &["model", "year"]),
@@ -367,17 +566,24 @@ mod tests {
             q("make = \"BMW\" ^ color = \"red\"", &["year"]),
             q("price < 10000", &["price"]),
             q("make = \"BMW\"", &["mileage"]),
+            // OR-of-forms queries (rule 4).
+            q("(make = \"BMW\" ^ price < 40000) _ (make = \"Audi\" ^ color = \"red\")", &["model"]),
+            q(
+                "(make = \"BMW\" ^ price < 40000) _ (make = \"Audi\" ^ price < 30000)",
+                &["model", "year"],
+            ),
+            q("(make = \"BMW\" ^ price < 40000) _ (make = \"Audi\" ^ year > 2018)", &["model"]),
+            q("make = \"BMW\" _ make = \"Audi\"", &["model"]),
+            q("make = \"BMW\" ^ (price < 40000 _ color = \"red\")", &["model", "year"]),
+            q("color = \"red\" _ color = \"blue\"", &["make"]),
         ];
         for query in &queries {
             let d = idx.candidates(query);
-            let classes = CapabilityFacts::query_classes(&query.cond);
-            let atoms = query.cond.atoms();
-            let distinct = atoms.iter().enumerate().all(|(i, a)| !atoms[..i].contains(a));
             let attrs: BTreeSet<String> = query.attrs.iter().cloned().collect();
             for (i, m) in members.iter().enumerate() {
                 assert_eq!(
                     d.is_candidate(i),
-                    m.capability_facts().may_support(&classes, &attrs, distinct),
+                    m.capability_facts().may_support(&query.cond, &attrs),
                     "index and facts oracle disagree on member {i} for {query}"
                 );
             }

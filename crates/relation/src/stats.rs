@@ -187,7 +187,10 @@ impl TableStats {
                 // Equality atoms on the same attribute with distinct values
                 // are mutually exclusive (the form value-lists of Example
                 // 1.2): sum them exactly instead of assuming independence.
-                let mut eq_groups: HashMap<&str, f64> = HashMap::new();
+                // Groups keep first-occurrence order, so the float product
+                // below, and with it every cost that ranks plans, is the
+                // same run to run.
+                let mut eq_groups: Vec<(&str, f64)> = Vec::new();
                 let mut other: Vec<f64> = Vec::new();
                 let mut seen_values: HashMap<&str, Vec<&Value>> = HashMap::new();
                 for c in cs {
@@ -198,8 +201,11 @@ impl TableStats {
                                 continue; // duplicate disjunct contributes nothing
                             }
                             vals.push(&a.value);
-                            *eq_groups.entry(a.attr.as_str()).or_insert(0.0) +=
-                                self.atom_selectivity(a);
+                            let sel = self.atom_selectivity(a);
+                            match eq_groups.iter_mut().find(|(attr, _)| *attr == a.attr) {
+                                Some((_, s)) => *s += sel,
+                                None => eq_groups.push((a.attr.as_str(), sel)),
+                            }
                         }
                         _ => other.push(self.tree_selectivity(c)),
                     }
@@ -296,6 +302,26 @@ mod tests {
         let p_price = s.selectivity(Some(&parse_condition("price < 20000").unwrap()));
         let expected = 1.0 - (1.0 - 0.25) * (1.0 - p_price);
         assert!((s.selectivity(Some(&mixed)) - expected).abs() < 1e-9);
+    }
+
+    #[test]
+    fn disjunction_groups_multiply_in_first_occurrence_order() {
+        let r = make_relation(1000);
+        let s = TableStats::build(&r);
+        let sel = |text: &str| s.selectivity(Some(&parse_condition(text).unwrap()));
+        let or =
+            parse_condition("id = 1 _ make = \"BMW\" _ price = 10097 _ id = 2 _ make = \"Ford\"")
+                .unwrap();
+        let groups = [
+            sel("id = 1") + sel("id = 2"),
+            sel("make = \"BMW\"") + sel("make = \"Ford\""),
+            sel("price = 10097"),
+        ];
+        let expected = 1.0 - groups.iter().fold(1.0, |none, g| none * (1.0 - g));
+        // Bitwise, on every call: plan ranking compares these floats.
+        for _ in 0..16 {
+            assert_eq!(s.selectivity(Some(&or)).to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

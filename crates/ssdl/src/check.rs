@@ -141,6 +141,40 @@ impl ExportSet {
     }
 }
 
+/// Most conditions one [`SharedCheckCache`] holds, over both generations.
+///
+/// A generation (half the cap) is above what planning a small repeating
+/// query mix leaves per source (under 2,048 conditions on the servebench
+/// `warm_repeat` and `scan_heavy` workloads), so those never evict; one cold
+/// 5-disjunct plan can add several thousand, and such one-off conditions
+/// age out.
+pub const SHARED_CHECK_CACHE_CAP: usize = 8192;
+
+type FpMap = std::collections::HashMap<
+    crate::linearize::Fingerprint,
+    ExportSet,
+    std::hash::BuildHasherDefault<crate::linearize::FingerprintHasher>,
+>;
+
+/// The two generations of a [`SharedCheckCache`].
+#[derive(Debug, Default)]
+struct Generations {
+    young: FpMap,
+    old: FpMap,
+}
+
+impl Generations {
+    /// Inserts into the young generation; a full young generation first
+    /// becomes the old one, dropping the previous old generation.
+    fn insert_young(&mut self, fp: crate::linearize::Fingerprint, exports: ExportSet) {
+        if self.young.len() >= SHARED_CHECK_CACHE_CAP / 2 && !self.young.contains_key(&fp) {
+            self.old = std::mem::take(&mut self.young);
+        }
+        self.old.remove(&fp);
+        self.young.insert(fp, exports);
+    }
+}
+
 /// A thread-safe, fingerprint-keyed `Check(C, R)` memo that persists across
 /// planning calls.
 ///
@@ -150,17 +184,18 @@ impl ExportSet {
 /// per-plan cache on top and backfill both, so repeated identical
 /// conditions cost one read-locked map probe instead of an Earley parse.
 ///
-/// Reads take a shared lock; a racing double-insert is harmless (`Check` is
-/// deterministic, so both writers store the same value).
+/// Bounded at [`SHARED_CHECK_CACHE_CAP`] entries by two generations:
+/// inserts go to the young map, a hit in the old map is promoted to the
+/// young one, and when the young map fills it becomes the old map and the
+/// previous old map is dropped. Conditions that recur survive; one-off
+/// conditions of cold plans age out.
+///
+/// Reads take a shared lock (a promotion takes the write lock); a racing
+/// double-insert is harmless (`Check` is deterministic, so both writers
+/// store the same value).
 #[derive(Debug, Default)]
 pub struct SharedCheckCache {
-    map: std::sync::RwLock<
-        std::collections::HashMap<
-            crate::linearize::Fingerprint,
-            ExportSet,
-            std::hash::BuildHasherDefault<crate::linearize::FingerprintHasher>,
-        >,
-    >,
+    map: std::sync::RwLock<Generations>,
 }
 
 impl SharedCheckCache {
@@ -171,17 +206,36 @@ impl SharedCheckCache {
 
     /// Looks up a memoized `Check` result by condition fingerprint.
     pub fn get(&self, fp: crate::linearize::Fingerprint) -> Option<ExportSet> {
-        self.map.read().expect("shared check cache poisoned").get(&fp).cloned()
+        {
+            let gens = self.map.read().expect("shared check cache poisoned");
+            if let Some(hit) = gens.young.get(&fp) {
+                return Some(hit.clone());
+            }
+            if !gens.old.contains_key(&fp) {
+                return None;
+            }
+        }
+        let mut gens = self.map.write().expect("shared check cache poisoned");
+        match gens.old.remove(&fp) {
+            Some(hit) => {
+                gens.insert_young(fp, hit.clone());
+                Some(hit)
+            }
+            // Promoted (or dropped) by another thread between the locks.
+            None => gens.young.get(&fp).cloned(),
+        }
     }
 
     /// Memoizes a `Check` result.
     pub fn insert(&self, fp: crate::linearize::Fingerprint, exports: ExportSet) {
-        self.map.write().expect("shared check cache poisoned").insert(fp, exports);
+        self.map.write().expect("shared check cache poisoned").insert_young(fp, exports);
     }
 
-    /// Number of memoized conditions.
+    /// Number of memoized conditions (never above
+    /// [`SHARED_CHECK_CACHE_CAP`]).
     pub fn len(&self) -> usize {
-        self.map.read().expect("shared check cache poisoned").len()
+        let gens = self.map.read().expect("shared check cache poisoned");
+        gens.young.len() + gens.old.len()
     }
 
     /// Is the cache empty?
@@ -421,6 +475,32 @@ mod tests {
         assert_eq!(r.matching_forms(Some(&c)), vec!["s1"]);
         let unsupported = parse_condition("year = 1999").unwrap();
         assert!(r.matching_forms(Some(&unsupported)).is_empty());
+    }
+
+    #[test]
+    fn shared_cache_is_bounded_and_keeps_recurring_conditions() {
+        let shared = SharedCheckCache::new();
+        let fp = |i: usize| {
+            crate::linearize::tokens_fingerprint(&[CondToken::Const(csqp_expr::Value::Int(
+                i as i64,
+            ))])
+        };
+        let recurring = fp(usize::MAX);
+        shared.insert(recurring, ExportSet::single(attrs(&["a"])));
+        for i in 0..5 * SHARED_CHECK_CACHE_CAP {
+            shared.insert(fp(i), ExportSet::empty());
+            assert!(shared.len() <= SHARED_CHECK_CACHE_CAP);
+            // Probed once per half-cap inserts: at most one generation flip
+            // passes between probes, so each probe finds it in the old map
+            // at worst and promotes it.
+            if i % (SHARED_CHECK_CACHE_CAP / 2) == 0 {
+                assert_eq!(shared.get(recurring), Some(ExportSet::single(attrs(&["a"]))));
+            }
+        }
+        assert_eq!(shared.get(recurring), Some(ExportSet::single(attrs(&["a"]))));
+        // A one-off condition from the first generation is gone.
+        assert_eq!(shared.get(fp(0)), None);
+        assert!(shared.len() > SHARED_CHECK_CACHE_CAP / 2);
     }
 
     #[test]

@@ -22,18 +22,28 @@
 //!   requested attribute outside every export set can never be retrieved.
 //! - **downloadable**: does some form accept the trivially-true condition
 //!   (`Check(true, R)` non-empty), i.e. can the source be bulk-downloaded?
+//! - **conjunctive**: no grammar rule contains the `_` terminal, so every
+//!   condition the source accepts is a conjunction. Such a source can only
+//!   serve a disjunctive query disjunct by disjunct: each DNF term of the
+//!   query must, on its own, contain some form's required classes (the
+//!   per-term entry rule of [`CapabilityFacts::may_support`]).
 //!
 //! The facts are *sound for pruning*: whenever a fact rules a source out,
 //! full `Check`-based planning is guaranteed infeasible. The converse does
-//! not hold — facts ignore condition structure (connectors, nesting,
-//! constant types), so surviving sources still go through the real planner.
-//! See DESIGN.md §5e.
+//! not hold — facts ignore most condition structure (nesting, constant
+//! types; connectors only through the per-term rule's DNF), so surviving
+//! sources still go through the real planner. See DESIGN.md §5e.
 
 use crate::check::CompiledSource;
 use crate::grammar::{GSym, NtId};
 use crate::token::Term;
-use csqp_expr::{CmpOp, CondTree};
+use csqp_expr::{Atom, CmpOp, CondTree, Connector};
 use std::collections::BTreeSet;
+
+/// Most DNF terms the per-term entry rule expands a condition into. A
+/// condition whose DNF is larger (or that has more than 64 distinct atoms)
+/// skips the rule rather than guess.
+pub const MAX_ENTRY_TERMS: usize = 64;
 
 /// An atom *class*: the capability-relevant shape of an atomic condition,
 /// ignoring the constant. `op = None` is a wildcard — the grammar position
@@ -91,6 +101,100 @@ pub struct CapabilityFacts {
     pub exports_union: BTreeSet<String>,
     /// Does `Check(true, R)` succeed (a `f -> true` download rule)?
     pub downloadable: bool,
+    /// Is the grammar `_`-free (no rule contains the `_` terminal)? Then
+    /// every accepted condition is a conjunction of atoms.
+    pub conjunctive: bool,
+}
+
+/// A condition's distinct atoms and its DNF over them, for the per-term
+/// entry rule. Atoms are identified by structural equality, so a repeated
+/// atom is one propositional variable.
+#[derive(Debug, Clone)]
+pub struct AtomTerms<'a> {
+    /// Distinct atoms, in first-occurrence order.
+    pub atoms: Vec<&'a Atom>,
+    /// Were the condition's atom occurrences pairwise distinct?
+    pub atoms_distinct: bool,
+    /// DNF terms as bitmasks over `atoms` (bit `i` = `atoms[i]`), sorted
+    /// and deduplicated; `None` when the DNF exceeds [`MAX_ENTRY_TERMS`]
+    /// terms or the condition has more than 64 distinct atoms.
+    pub terms: Option<Vec<u64>>,
+}
+
+impl<'a> AtomTerms<'a> {
+    /// Collects the atoms of `cond` and expands its DNF.
+    pub fn of(cond: &'a CondTree) -> AtomTerms<'a> {
+        let mut atoms: Vec<&Atom> = Vec::new();
+        let mut occurrences = 0;
+        collect_distinct(cond, &mut atoms, &mut occurrences);
+        let mut terms = Vec::new();
+        let expanded = atoms.len() <= 64 && dnf_masks(cond, &atoms, &mut terms).is_some();
+        terms.sort_unstable();
+        terms.dedup();
+        AtomTerms {
+            atoms_distinct: atoms.len() == occurrences,
+            atoms,
+            terms: expanded.then_some(terms),
+        }
+    }
+}
+
+fn collect_distinct<'a>(t: &'a CondTree, atoms: &mut Vec<&'a Atom>, occurrences: &mut usize) {
+    match t {
+        CondTree::Leaf(a) => {
+            *occurrences += 1;
+            if !atoms.contains(&a) {
+                atoms.push(a);
+            }
+        }
+        CondTree::Node(_, children) => {
+            for c in children {
+                collect_distinct(c, atoms, occurrences);
+            }
+        }
+    }
+}
+
+/// Appends the DNF terms of `t`, as bitmasks over `atoms`, to `out` (one
+/// buffer for the whole expansion: an `And` multiplies its accumulated
+/// terms with each child's in place). `None` once any node would exceed
+/// [`MAX_ENTRY_TERMS`] terms.
+fn dnf_masks(t: &CondTree, atoms: &[&Atom], out: &mut Vec<u64>) -> Option<()> {
+    let start = out.len();
+    match t {
+        CondTree::Leaf(a) => {
+            // A first occurrence is found by address; a repeat by value.
+            let id = atoms.iter().position(|b| std::ptr::eq(*b, a));
+            out.push(1u64 << id.or_else(|| atoms.iter().position(|b| *b == a))?);
+        }
+        CondTree::Node(Connector::Or, children) => {
+            for c in children {
+                dnf_masks(c, atoms, out)?;
+                if out.len() - start > MAX_ENTRY_TERMS {
+                    return None;
+                }
+            }
+        }
+        CondTree::Node(Connector::And, children) => {
+            out.push(0);
+            for c in children {
+                let mid = out.len();
+                dnf_masks(c, atoms, out)?;
+                let end = out.len();
+                if (mid - start) * (end - mid) > MAX_ENTRY_TERMS {
+                    return None;
+                }
+                for i in start..mid {
+                    for j in mid..end {
+                        let term = out[i] | out[j];
+                        out.push(term);
+                    }
+                }
+                out.drain(start..end);
+            }
+        }
+    }
+    Some(())
 }
 
 /// The class-set ceiling used by the greatest fixpoint: `None` means ⊤
@@ -196,8 +300,12 @@ impl CapabilityFacts {
             forms.iter().flat_map(|f| f.exports.iter().cloned()).collect();
 
         let downloadable = !source.check(None).is_empty();
+        let conjunctive = !grammar
+            .rules
+            .iter()
+            .any(|rule| rule.rhs.iter().any(|sym| matches!(sym, GSym::T(Term::OrSym))));
 
-        CapabilityFacts { forms, may, exports_union, downloadable }
+        CapabilityFacts { forms, may, exports_union, downloadable, conjunctive }
     }
 
     /// The class set of a query condition: one exact class per atom. A
@@ -217,42 +325,60 @@ impl CapabilityFacts {
         })
     }
 
+    /// Does some form's required set fit inside `classes` (or is the
+    /// source downloadable)?
+    fn enterable(&self, classes: &BTreeSet<AtomClass>) -> bool {
+        self.downloadable
+            || self
+                .forms
+                .iter()
+                .any(|f| f.required.as_ref().is_some_and(|req| Self::satisfies(req, classes)))
+    }
+
     /// Sound feasibility pre-filter: could *any* rewriting of a query with
     /// this condition and requested attributes be answerable by the source?
     /// `false` guarantees full planning fails; `true` promises nothing.
     ///
-    /// `atoms_distinct` must be true iff the query's atoms are pairwise
-    /// structurally distinct; the per-atom enforceability rule is only
-    /// applied then (duplicate atoms enable absorption rewrites that drop
-    /// atoms entirely, which would make the rule unsound).
-    pub fn may_support(
-        &self,
-        query_classes: &BTreeSet<AtomClass>,
-        requested: &BTreeSet<String>,
-        atoms_distinct: bool,
-    ) -> bool {
+    /// This is the per-source oracle of the federation capability index
+    /// (`csqp_core::capindex`): both apply the same four rules and agree
+    /// member by member.
+    pub fn may_support(&self, cond: &CondTree, requested: &BTreeSet<String>) -> bool {
         // Rule 1 — projection: every requested attribute must be exportable.
         if !requested.iter().all(|a| self.exports_union.contains(a)) {
             return false;
         }
         // Rule 2 — entry: some form's required classes are contained in the
         // query's classes, or the source is downloadable.
-        let entry = self.downloadable
-            || self.forms.iter().any(|f| {
-                f.required.as_ref().is_some_and(|req| Self::satisfies(req, query_classes))
-            });
-        if !entry {
+        let query_classes = Self::query_classes(cond);
+        if !self.enterable(&query_classes) {
             return false;
         }
         // Rule 3 — enforcement: each query atom is either enforceable at the
         // source (its class may appear in an accepted condition) or locally
         // filterable (its attribute is exportable). Only sound when atoms
-        // are pairwise distinct (no absorption).
-        if atoms_distinct {
-            for q in query_classes {
+        // are pairwise distinct: duplicated atoms enable absorption
+        // rewrites that drop atoms entirely.
+        let terms = AtomTerms::of(cond);
+        if terms.atoms_distinct {
+            for q in &query_classes {
                 let enforceable =
                     self.may.contains(q) || self.may.contains(&AtomClass::wildcard(q.attr.clone()));
                 if !enforceable && !self.exports_union.contains(&q.attr) {
+                    return false;
+                }
+            }
+        }
+        // Rule 4 — per-term entry: a `_`-free grammar only accepts
+        // conjunctions, so every DNF term of the query must on its own
+        // contain some form's required classes (soundness argument in
+        // `csqp_core::capindex`). Skipped past the DNF term cap.
+        if self.conjunctive {
+            for &term in terms.terms.iter().flatten() {
+                let term_classes: BTreeSet<AtomClass> = (terms.atoms.iter().enumerate())
+                    .filter(|(i, _)| term & (1 << i) != 0)
+                    .map(|(_, a)| AtomClass::exact(a.attr.clone(), a.op))
+                    .collect();
+                if !self.enterable(&term_classes) {
                     return false;
                 }
             }
@@ -281,8 +407,12 @@ mod tests {
         )
     }
 
+    fn cond(text: &str) -> CondTree {
+        parse_condition(text).unwrap()
+    }
+
     fn classes(text: &str) -> BTreeSet<AtomClass> {
-        CapabilityFacts::query_classes(&parse_condition(text).unwrap())
+        CapabilityFacts::query_classes(&cond(text))
     }
 
     fn names(xs: &[&str]) -> BTreeSet<String> {
@@ -366,9 +496,9 @@ mod tests {
     #[test]
     fn may_support_projection_rule() {
         let f = car_dealer();
-        let q = classes("make = \"BMW\" ^ price < 40000");
-        assert!(f.may_support(&q, &names(&["model", "year"]), true));
-        assert!(!f.may_support(&q, &names(&["mileage"]), true), "unexported attribute");
+        let q = cond("make = \"BMW\" ^ price < 40000");
+        assert!(f.may_support(&q, &names(&["model", "year"])));
+        assert!(!f.may_support(&q, &names(&["mileage"])), "unexported attribute");
     }
 
     #[test]
@@ -376,11 +506,11 @@ mod tests {
         let f = car_dealer();
         // No form's requirements are met by a color-only query… except via
         // wildcard-free exactness: s2 requires make=; color alone fails.
-        let q = classes("color = \"red\"");
-        assert!(!f.may_support(&q, &names(&["model"]), true));
+        let q = cond("color = \"red\"");
+        assert!(!f.may_support(&q, &names(&["model"])));
         // Adding make= satisfies s2.
-        let q2 = classes("make = \"BMW\" ^ color = \"red\"");
-        assert!(f.may_support(&q2, &names(&["model"]), true));
+        let q2 = cond("make = \"BMW\" ^ color = \"red\"");
+        assert!(f.may_support(&q2, &names(&["model"])));
     }
 
     #[test]
@@ -388,13 +518,52 @@ mod tests {
         let f = car_dealer();
         // year > 1999: not enforceable (no grammar position), but `year` is
         // exported, so it is locally filterable — stays a candidate.
-        let q = classes("make = \"BMW\" ^ color = \"red\" ^ year > 1999");
-        assert!(f.may_support(&q, &names(&["model"]), true));
+        let q = cond("make = \"BMW\" ^ color = \"red\" ^ year > 1999");
+        assert!(f.may_support(&q, &names(&["model"])));
         // mileage < 10000: not enforceable and not exportable — pruned.
-        let q2 = classes("make = \"BMW\" ^ color = \"red\" ^ mileage < 10000");
-        assert!(!f.may_support(&q2, &names(&["model"]), true));
-        // …but with atoms_distinct unknown/false, rule 3 must not fire.
-        assert!(f.may_support(&q2, &names(&["model"]), false));
+        let q2 = cond("make = \"BMW\" ^ color = \"red\" ^ mileage < 10000");
+        assert!(!f.may_support(&q2, &names(&["model"])));
+        // …but with a duplicated atom (absorption territory), rule 3 must
+        // not fire.
+        let q3 = cond("make = \"BMW\" ^ color = \"red\" ^ (mileage < 10000 _ mileage < 10000)");
+        assert!(f.may_support(&q3, &names(&["model"])));
+    }
+
+    #[test]
+    fn may_support_per_term_entry_rule() {
+        let f = car_dealer();
+        assert!(f.conjunctive);
+        // Each disjunct holds one of the dealer's forms: a candidate.
+        let both = cond("(make = \"BMW\" ^ price < 40000) _ (make = \"Audi\" ^ color = \"red\")");
+        assert!(f.may_support(&both, &names(&["model"])));
+        // The second disjunct holds no form, though the query's classes as
+        // one set contain s1's: rule 2 keeps the dealer, rule 4 prunes it.
+        let one = cond("(make = \"BMW\" ^ price < 40000) _ (make = \"Audi\" ^ year > 2018)");
+        assert!(f.enterable(&CapabilityFacts::query_classes(&one)));
+        assert!(!f.may_support(&one, &names(&["model"])));
+        // A `_`-grammar source is exempt.
+        let list = facts(
+            "s1 -> make = $str ^ price < $int | make = $str _ make = $str ;\n\
+             attributes :: s1 : { make, model, price, year } ;",
+        );
+        assert!(!list.conjunctive);
+        assert!(list.may_support(&one, &names(&["model"])));
+    }
+
+    #[test]
+    fn atom_terms_expand_dnf_over_distinct_atoms() {
+        let c = cond("a = 1 ^ (b = 2 _ c = 3) ^ (a = 1 _ d = 4)");
+        let t = AtomTerms::of(&c);
+        assert_eq!(t.atoms.len(), 4, "the repeated a = 1 is one atom");
+        assert!(!t.atoms_distinct);
+        // a^b, a^b^d, a^c, a^c^d over atoms [a, b, c, d].
+        assert_eq!(t.terms, Some(vec![0b0011, 0b0101, 0b1011, 0b1101]));
+        // 7 two-way disjunctions conjoined: 2^7 = 128 terms, past the cap.
+        let wide = (0..7).map(|i| format!("(x{i} = 1 _ y{i} = 2)")).collect::<Vec<_>>().join(" ^ ");
+        let wide = cond(&wide);
+        let t = AtomTerms::of(&wide);
+        assert_eq!(t.atoms.len(), 14);
+        assert_eq!(t.terms, None);
     }
 
     #[test]
