@@ -6,6 +6,14 @@
 //! The federation plans the target query against every member and executes
 //! the cheapest feasible plan — capability-sensitivity applied one level up
 //! from [`crate::mediator::Mediator`].
+//!
+//! Two filters keep that fan-out proportional to the distinct work. The
+//! compiled capability index ([`crate::capindex`]) drops members that cannot
+//! answer the query's shape before any planning. Planning classes
+//! ([`Federation::planning_classes`]) group members with identical planning
+//! inputs ([`Source::plans_like`]): GenCompact runs once per class, the
+//! class's other candidates share the outcome, and the earliest member still
+//! wins ties, so every choice equals planning each member alone.
 
 use crate::capindex::{CapabilityIndex, IndexDecision};
 use crate::mediator::{execute_with_failover, CardKind, Mediator, MediatorError, RunOutcome};
@@ -19,7 +27,7 @@ use csqp_plan::exec_stream::{
 };
 use csqp_plan::AttrSet;
 use csqp_source::{Meter, ResilienceMeter, Source};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -106,6 +114,10 @@ pub struct Federation {
     /// Compiled capability index over the members (source pre-selection).
     /// Built lazily on first plan; invalidated by membership changes.
     capindex: OnceLock<CapabilityIndex>,
+    /// Member → planning class (see [`Federation::planning_classes`]).
+    /// Built lazily on first plan; reset by membership and estimator
+    /// changes.
+    classes: OnceLock<Vec<usize>>,
     use_capindex: bool,
     /// Prepared-plan cache consulted by [`Federation::prepare`]; absent by
     /// default (every prepare bypasses to cold planning).
@@ -261,6 +273,7 @@ impl Federation {
             obs: Arc::new(Obs::new()),
             flight: Arc::new(FlightRecorder::off()),
             capindex: OnceLock::new(),
+            classes: OnceLock::new(),
             use_capindex: true,
             plan_cache: None,
         }
@@ -365,6 +378,7 @@ impl Federation {
         // Membership changed: any compiled index is stale, and cached
         // prepared plans chose their winner against the old member set.
         self.capindex = OnceLock::new();
+        self.classes = OnceLock::new();
         self.plancache_invalidate("membership change");
         self
     }
@@ -434,30 +448,130 @@ impl Federation {
         Some(decision)
     }
 
+    /// The planning classes: entry `i` is the lowest index of a member
+    /// that plans like member `i` ([`Source::plans_like`] under this
+    /// federation's estimator), so it is `i` itself for a member with no
+    /// earlier twin. Built once in O(members): each member's
+    /// [`Source::planning_key`] picks a bucket, and an exact `plans_like`
+    /// against the bucket's classes settles it.
+    pub fn planning_classes(&self) -> &[usize] {
+        self.classes.get_or_init(|| {
+            let input = self.card.input();
+            let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+            let mut class = Vec::with_capacity(self.members.len());
+            for (i, m) in self.members.iter().enumerate() {
+                let firsts = buckets.entry(m.planning_key(input)).or_default();
+                match firsts.iter().find(|&&f| self.members[f].plans_like(m, input)) {
+                    Some(&f) => class.push(f),
+                    None => {
+                        firsts.push(i);
+                        class.push(i);
+                    }
+                }
+            }
+            class
+        })
+    }
+
     /// Fans full planning out over the members that survive `decision`
-    /// (all members when `decision` is `None`), returning `(member index,
-    /// outcome)` pairs in member order — pruned members are absent, so the
+    /// (all members when `decision` is `None`), returning one entry per
+    /// candidate in member order — pruned members are absent, so the
     /// planning cost and the result size scale with the candidate set, not
     /// the federation.
-    #[allow(clippy::type_complexity)]
+    ///
+    /// Planning runs once per planning class: the first candidate of each
+    /// class (in member order) is planned, and its outcome is handed to
+    /// the class's other candidates. Planning is a pure function of the
+    /// inputs the class shares, so each entry equals what planning that
+    /// member alone returns (apart from its search report).
     fn plan_candidates(
         &self,
         query: &TargetQuery,
         decision: Option<&IndexDecision>,
-    ) -> Vec<(usize, Result<PlannedQuery, PlanError>)> {
+    ) -> Vec<CandidatePlan> {
+        let classes = self.planning_classes();
         let work: Vec<usize> = (0..self.members.len())
             .filter(|&i| decision.is_none_or(|d| d.is_candidate(i)))
             .collect();
+        // `planned[slot[k]]` is the member whose planner run `work[k]` uses.
+        let mut slot_of_class: HashMap<usize, usize> = HashMap::with_capacity(work.len());
+        let mut planned: Vec<usize> = Vec::new();
+        let slot: Vec<usize> = work
+            .iter()
+            .map(|&i| {
+                *slot_of_class.entry(classes[i]).or_insert_with(|| {
+                    planned.push(i);
+                    planned.len() - 1
+                })
+            })
+            .collect();
         let card = self.card;
-        let outcomes = crate::par::par_map(&work, |&i| {
+        let outcomes = crate::par::par_map(&planned, |&i| {
             Mediator::new(self.members[i].clone()).with_cardinality(card).plan(query)
         });
-        work.into_iter().zip(outcomes).collect()
+        // Slots first appear in increasing order, each at its planned member;
+        // later candidates of the class clone that member's entry.
+        let mut outcomes = outcomes.into_iter();
+        let mut first_at: Vec<usize> = Vec::with_capacity(planned.len());
+        let mut out: Vec<CandidatePlan> = Vec::with_capacity(work.len());
+        for (member, s) in work.into_iter().zip(slot) {
+            let outcome = if s == first_at.len() {
+                first_at.push(out.len());
+                outcomes.next().expect("one outcome per planned member")
+            } else {
+                out[first_at[s]].outcome.clone()
+            };
+            out.push(CandidatePlan {
+                member,
+                shared_from: (planned[s] != member).then_some(planned[s]),
+                outcome,
+            });
+        }
+        out
+    }
+
+    /// Takes one candidate's outcome in the sequential merge, recording
+    /// what its planning cost: the planner report of a member planned
+    /// itself, or — for a member served by a sibling's plan — a flight note
+    /// naming the sibling and one more count in `shared`.
+    fn merge_outcome(
+        &self,
+        c: CandidatePlan,
+        flight: QueryFlight<'_>,
+        shared: &mut u64,
+    ) -> Result<PlannedQuery, PlanError> {
+        match c.shared_from {
+            Some(from) => {
+                *shared += 1;
+                flight.event_with(|| PlanEvent::Note {
+                    text: format!(
+                        "member {}: plan shared with {}",
+                        self.members[c.member].name, self.members[from].name
+                    ),
+                });
+            }
+            None => {
+                if let Ok(planned) = &c.outcome {
+                    planned.report.record_into(&self.obs.metrics);
+                }
+            }
+        }
+        c.outcome
+    }
+
+    /// Adds the members served by a sibling's plan to
+    /// `federation.plans_shared` (skipped when none were).
+    fn count_shared(&self, shared: u64) {
+        if shared > 0 {
+            self.obs.metrics.add(names::FEDERATION_PLANS_SHARED, shared);
+        }
     }
 
     /// Selects the cardinality estimator used for every member.
     pub fn with_cardinality(mut self, card: CardKind) -> Self {
         self.card = card;
+        // Which source fields a plan depends on follows the estimator.
+        self.classes = OnceLock::new();
         self
     }
 
@@ -520,10 +634,11 @@ impl Federation {
         } else {
             String::new()
         };
+        let mut shared = 0;
         let mut next = outcomes.into_iter().peekable();
         for (idx, member) in self.members.iter().enumerate() {
-            let outcome = if next.peek().is_some_and(|(i, _)| *i == idx) {
-                next.next().expect("peeked entry exists").1
+            let outcome = if next.peek().is_some_and(|c| c.member == idx) {
+                self.merge_outcome(next.next().expect("peeked entry exists"), flight, &mut shared)
             } else {
                 // Pruned by the capability index: infeasible with
                 // certainty, no full planning was spent on it.
@@ -546,7 +661,6 @@ impl Federation {
                 .then(|| self.obs.tracer.span(&format!("member {}", member.name)));
             match outcome {
                 Ok(planned) => {
-                    planned.report.record_into(&self.obs.metrics);
                     self.obs.tracer.event_with(|| {
                         format!("member {}: est cost {:.2}", member.name, planned.est_cost)
                     });
@@ -574,6 +688,7 @@ impl Federation {
                 }
             }
         }
+        self.count_shared(shared);
         if let Some((source, planned)) = &best {
             self.obs.tracer.event_with(|| {
                 format!("chose {} at est cost {:.2}", source.name, planned.est_cost)
@@ -763,10 +878,11 @@ impl Federation {
         }
         let mut candidates: Vec<(usize, PlannedQuery)> = Vec::new();
         let mut any_feasible = false;
+        let mut shared = 0;
         let mut next = outcomes.into_iter().peekable();
         for (idx, gate) in gates.iter().enumerate() {
-            let outcome = if next.peek().is_some_and(|(i, _)| *i == idx) {
-                next.next().expect("peeked entry exists").1
+            let outcome = if next.peek().is_some_and(|c| c.member == idx) {
+                self.merge_outcome(next.next().expect("peeked entry exists"), flight, &mut shared)
             } else {
                 // Pruned by the capability index without planning: the
                 // member is infeasible with certainty, so the trace entry
@@ -783,7 +899,6 @@ impl Federation {
             match outcome {
                 Ok(planned) => {
                     any_feasible = true;
-                    planned.report.record_into(&self.obs.metrics);
                     if *gate == BreakerGate::Quarantined {
                         self.obs.metrics.inc(names::FEDERATION_QUARANTINED);
                         self.tap(names::MEMBER_QUARANTINED_PREFIX, &self.members[idx].name);
@@ -811,6 +926,7 @@ impl Federation {
                 }
             }
         }
+        self.count_shared(shared);
         candidates
             .sort_by(|a, b| a.1.est_cost.partial_cmp(&b.1.est_cost).expect("finite plan costs"));
         (candidates, gates, any_feasible)
@@ -1106,6 +1222,17 @@ impl Federation {
             splices,
         })
     }
+}
+
+/// One candidate member's planning outcome, from
+/// [`Federation::plan_candidates`].
+struct CandidatePlan {
+    /// Index of the member in [`Federation::members`].
+    member: usize,
+    /// The class sibling whose planner run produced `outcome`; `None` when
+    /// the member was planned itself.
+    shared_from: Option<usize>,
+    outcome: Result<PlannedQuery, PlanError>,
 }
 
 /// Cost-to-counter conversion for the `member.*_cost_milli.*` taps.

@@ -29,7 +29,7 @@ use csqp_plan::model::CostModel;
 use csqp_plan::AttrSet;
 use csqp_relation::stream::TupleBatch;
 use csqp_relation::Relation;
-use csqp_source::{Meter, ResilienceMeter, Source};
+use csqp_source::{EstimatorInput, Meter, ResilienceMeter, Source};
 use csqp_ssdl::linearize::{cond_fingerprint, Fingerprint};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -95,6 +95,18 @@ pub enum CardKind {
         /// Assumed per-atom selectivity.
         atom_selectivity: f64,
     },
+}
+
+impl CardKind {
+    /// What this estimator reads from a source (kept in step with
+    /// `Mediator::with_card`, which builds the estimator from it).
+    pub fn input(&self) -> EstimatorInput {
+        match self {
+            CardKind::Stats => EstimatorInput::Stats,
+            CardKind::Oracle => EstimatorInput::Relation,
+            CardKind::Uniform { .. } => EstimatorInput::RowCount,
+        }
+    }
 }
 
 /// The outcome of planning + executing a target query.

@@ -13,11 +13,22 @@
 //! ```
 //!
 //! `^` binds tighter than `_`, matching conventional precedence.
+//!
+//! Parentheses nest at most [`MAX_COND_DEPTH`] deep; deeper input is a
+//! [`ParseError`], so untrusted text cannot exhaust the thread stack here
+//! or in the recursive passes that walk the tree afterwards.
 
 use crate::atom::{Atom, CmpOp};
 use crate::tree::CondTree;
 use crate::value::Value;
 use std::fmt;
+
+/// The deepest parenthesis nesting [`parse_condition`] accepts. Every
+/// later pass (rewriting, planning, `Check`, evaluation, rendering) recurses
+/// once per tree level, and a condition of alternating `^`/`_` nested this
+/// deep still plans and answers on a 2 MiB thread stack (the default for
+/// spawned threads, serve workers included).
+pub const MAX_COND_DEPTH: usize = 128;
 
 /// A parse error with byte position context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +50,7 @@ impl std::error::Error for ParseError {}
 /// Parses a condition expression from its text syntax.
 pub fn parse_condition(input: &str) -> Result<CondTree, ParseError> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let tree = p.or_expr()?;
     if p.pos != p.tokens.len() {
         return Err(ParseError {
@@ -228,6 +239,8 @@ fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Parentheses currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -268,8 +281,16 @@ impl Parser {
     fn factor(&mut self) -> Result<CondTree, ParseError> {
         match self.peek() {
             Some(Tok::LParen) => {
+                if self.depth == MAX_COND_DEPTH {
+                    return Err(ParseError {
+                        message: format!("parentheses nested deeper than {MAX_COND_DEPTH}"),
+                        position: self.at(),
+                    });
+                }
                 self.bump();
+                self.depth += 1;
                 let inner = self.or_expr()?;
+                self.depth -= 1;
                 if self.peek() == Some(&Tok::RParen) {
                     self.bump();
                     Ok(inner)
@@ -426,6 +447,35 @@ mod tests {
             // same tree because nesting is parenthesized.
             assert_eq!(t, reparsed, "round trip failed for {text}");
         }
+    }
+
+    /// `depth` parenthesized levels alternating `^` and `_`.
+    fn nested(depth: usize) -> String {
+        let mut s = String::from("a = 0");
+        for d in 0..depth {
+            let op = if d % 2 == 0 { "^" } else { "_" };
+            s = format!("(a = {d} {op} {s})");
+        }
+        s
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        assert!(parse_condition(&nested(MAX_COND_DEPTH)).is_ok());
+        let deep = nested(MAX_COND_DEPTH + 1);
+        let e = parse_condition(&deep).unwrap_err();
+        assert!(e.message.contains("nested deeper"), "{e}");
+        let excess = deep.match_indices('(').nth(MAX_COND_DEPTH).unwrap().0;
+        assert_eq!(e.position, excess, "the first excess parenthesis is reported");
+        // Far past the cap: typed errors, never a stack overflow.
+        for depth in [5_000, 1_000_000] {
+            let text = format!("{}a = 1{}", "(".repeat(depth), ")".repeat(depth));
+            let e = parse_condition(&text).unwrap_err();
+            assert!(e.message.contains("nested deeper"), "{e}");
+        }
+        // Sequential groups do not add up: the cap bounds nesting only.
+        let wide = vec!["(a = 1)"; 4 * MAX_COND_DEPTH].join(" ^ ");
+        assert!(parse_condition(&wide).is_ok());
     }
 
     #[test]

@@ -104,6 +104,9 @@ pub const FEDERATION_INFEASIBLE: &str = "federation.infeasible";
 pub const FEDERATION_EXEC_FAILED: &str = "federation.exec_failed";
 /// Queries ultimately served by some member.
 pub const FEDERATION_SERVED: &str = "federation.served";
+/// Candidate members served by a class sibling's plan instead of their own
+/// planner run (identical planning inputs, see `Source::plans_like`).
+pub const FEDERATION_PLANS_SHARED: &str = "federation.plans_shared";
 
 // ---- mid-query adaptive re-planning ----
 
@@ -381,6 +384,11 @@ pub const CATALOG: &[MetricMeta] = &[
     meta(FEDERATION_INFEASIBLE, MetricKind::Counter, "members that could not plan the query"),
     meta(FEDERATION_EXEC_FAILED, MetricKind::Counter, "member executions failed after retries"),
     meta(FEDERATION_SERVED, MetricKind::Counter, "queries served by some member"),
+    meta(
+        FEDERATION_PLANS_SHARED,
+        MetricKind::Counter,
+        "members given a class sibling's plan instead of planning",
+    ),
     meta(REPLAN_TRIGGERED, MetricKind::Counter, "replan triggers observed"),
     meta(REPLAN_DRIFT_TRIGGERS, MetricKind::Counter, "replan triggers from cardinality drift"),
     meta(REPLAN_BREAKER_TRIGGERS, MetricKind::Counter, "replan triggers from breaker opens"),

@@ -22,7 +22,7 @@ pub const HISTOGRAM_BUCKETS: usize = 32;
 pub const DEFAULT_CONTAINS_SELECTIVITY: f64 = 0.05;
 
 /// Statistics for one column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Number of distinct values.
     pub ndv: usize,
@@ -33,8 +33,9 @@ pub struct ColumnStats {
     pub boundaries: Vec<Value>,
 }
 
-/// Statistics for a relation.
-#[derive(Debug, Clone)]
+/// Statistics for a relation. Equality is exact (every count, frequency
+/// and histogram boundary): equal statistics give equal estimates.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     /// Total row count.
     pub rows: usize,

@@ -16,4 +16,4 @@ pub mod source;
 pub use catalog::Catalog;
 pub use cost::CostParams;
 pub use fault::{Fault, FaultProfile, OutageWindow, ResilienceMeter};
-pub use source::{Meter, Source, SourceError, SourceStream};
+pub use source::{EstimatorInput, Meter, Source, SourceError, SourceStream};

@@ -27,8 +27,10 @@ use csqp_ssdl::closure::{fix_order, permutation_closure, DEFAULT_MAX_SEGMENTS};
 use csqp_ssdl::facts::CapabilityFacts;
 use csqp_ssdl::linearize::{cond_fingerprint, Fingerprint};
 use csqp_ssdl::SsdlDesc;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -113,6 +115,18 @@ impl fmt::Display for SourceError {
 
 impl std::error::Error for SourceError {}
 
+/// The part of a source a cardinality estimator reads, for
+/// [`Source::plans_like`]: each estimator a mediator can select reads one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EstimatorInput {
+    /// Single-column statistics ([`TableStats`]).
+    Stats,
+    /// The row count alone (fixed per-atom selectivity).
+    RowCount,
+    /// The relation itself (exact result sizes).
+    Relation,
+}
+
 /// Cumulative transfer metrics for one source.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Meter {
@@ -141,6 +155,11 @@ impl Meter {
 }
 
 /// A capability-gated, metered, simulated Internet source.
+///
+/// The fields a planner reads — `original` (and `planning`, derived from
+/// it), `stats`/`relation` and `cost` — are exactly what
+/// [`Source::plans_like`] compares; a field that starts to feed planning
+/// must join it.
 #[derive(Debug)]
 pub struct Source {
     /// Source name.
@@ -163,7 +182,8 @@ pub struct Source {
     rejected: AtomicU64,
     /// Observed result cardinalities by condition fingerprint: the largest
     /// deduplicated result size ever shipped for each distinct condition.
-    /// Feeds mid-query re-planning (cost recalibration floors).
+    /// Exposed through [`Source::observed_cardinalities`]; no planner reads
+    /// it, so it is not a planning input (see [`Source::plans_like`]).
     observed_cards: Mutex<BTreeMap<Fingerprint, u64>>,
     /// Unreliability model; `None` (the default) keeps the fault path at a
     /// single branch per query.
@@ -256,6 +276,67 @@ impl Source {
     /// These feed the federation capability index (source pre-selection).
     pub fn capability_facts(&self) -> &CapabilityFacts {
         self.facts.get_or_init(|| CapabilityFacts::compile(&self.planning))
+    }
+
+    /// Do `self` and `other` plan alike? A planner reads exactly these
+    /// inputs from a source, and this compares every one of them:
+    ///
+    /// 1. the **original** SSDL description — its rules and exports, not
+    ///    its name. The planning view is the permutation closure of the
+    ///    original, a pure function of it, so equal originals give equal
+    ///    planning views. Twins whose rules are merely permuted compare
+    ///    unequal: conservative, on purpose;
+    /// 2. the §6.2 cost constants ([`CostParams`]);
+    /// 3. the estimator input `card` names: the [`TableStats`], the row
+    ///    count, or the relation itself.
+    ///
+    /// Nothing else reaches a planner. The name is informational, the
+    /// fault profile and the meters only act at execution, the `Check`
+    /// memo only changes how fast `Check` answers, and no planner reads
+    /// the observed cardinalities. Two sources for which this holds get the
+    /// same plan, cost and alternatives for every query, so a federation
+    /// plans one of them and hands the outcome to the other. A new
+    /// planning input must join this list and [`Source::planning_key`].
+    pub fn plans_like(&self, other: &Source, card: EstimatorInput) -> bool {
+        let (a, b) = (&self.original.desc, &other.original.desc);
+        a.rules == b.rules
+            && a.exports == b.exports
+            && self.cost == other.cost
+            && match card {
+                EstimatorInput::Stats => self.stats == other.stats,
+                EstimatorInput::RowCount => self.relation.len() == other.relation.len(),
+                EstimatorInput::Relation => self.relation == other.relation,
+            }
+    }
+
+    /// A bucket key for [`Source::plans_like`]: sources that plan alike
+    /// have equal keys. It hashes the rules, exports, cost constants, row
+    /// count and — unless only the row count is read — each column's
+    /// distinct count and histogram boundaries (equal relations have equal
+    /// statistics too). That costs O(grammar + columns × buckets), not
+    /// O(data); callers confirm with `plans_like`.
+    pub fn planning_key(&self, card: EstimatorInput) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.original.desc.rules.hash(&mut h);
+        self.original.desc.exports.hash(&mut h);
+        self.cost.k1.to_bits().hash(&mut h);
+        self.cost.k2.to_bits().hash(&mut h);
+        self.relation.len().hash(&mut h);
+        if card != EstimatorInput::RowCount {
+            // Statistics are keyed by column name, so combine the columns
+            // order-independently.
+            let columns = self.relation.schema().columns.iter().fold(0u64, |acc, c| {
+                let mut ch = DefaultHasher::new();
+                c.name.hash(&mut ch);
+                if let Some(col) = self.stats.column(&c.name) {
+                    col.ndv.hash(&mut ch);
+                    col.boundaries.hash(&mut ch);
+                }
+                acc.wrapping_add(ch.finish())
+            });
+            columns.hash(&mut h);
+        }
+        h.finish()
     }
 
     /// `Check(C, R)` against the planning view.
@@ -853,6 +934,78 @@ mod tests {
         while full.next_batch().unwrap().is_some() {}
         assert_eq!(s2.observed_cardinality(Some(&c)), Some(r.len() as u64));
         assert!(s2.observed_cardinalities().len() == 1);
+    }
+
+    const CARS_CSV: &str = "vin,make,model,year,price\n\
+                            1,BMW,330i,2020,39000\n\
+                            2,BMW,X5,2021,61000\n\
+                            3,Toyota,Camry,2019,24000\n\
+                            4,BMW,320i,2018,28000\n";
+
+    const DEALER_BODY: &str = "s1 -> make = $str ^ price <= $int ;\n\
+                               s2 -> year > $int ;\n\
+                               attributes :: s1 : { make, model, year, price } ;\n\
+                               attributes :: s2 : { make, model, year } ;";
+
+    /// A source named `name` over `csv` with the grammar `body`.
+    fn from_text(name: &str, csv: &str, body: &str, k1: f64) -> Source {
+        let relation = csqp_relation::csv::load_csv("cars", csv, &["vin"]).unwrap();
+        let desc = csqp_ssdl::parse_ssdl(&format!("source {name} {{\n{body}\n}}")).unwrap();
+        Source::new(relation, desc, CostParams::new(k1, 1.0))
+    }
+
+    #[test]
+    fn plans_like_ignores_the_name_only() {
+        let a = from_text("mirror_a", CARS_CSV, DEALER_BODY, 50.0);
+        let b = from_text("mirror_b", CARS_CSV, DEALER_BODY, 50.0);
+        for input in [EstimatorInput::Stats, EstimatorInput::RowCount, EstimatorInput::Relation] {
+            assert!(a.plans_like(&b, input), "{input:?}");
+            assert_eq!(a.planning_key(input), b.planning_key(input), "{input:?}");
+        }
+    }
+
+    #[test]
+    fn plans_like_sees_every_planning_input() {
+        let base = from_text("base", CARS_CSV, DEALER_BODY, 50.0);
+        let unlike = |other: &Source, input: EstimatorInput| !base.plans_like(other, input);
+        // One changed cell: other statistics and another relation, but the
+        // same row count.
+        let cell = from_text("cell", &CARS_CSV.replace("X5", "X6"), DEALER_BODY, 50.0);
+        assert!(unlike(&cell, EstimatorInput::Stats));
+        assert!(unlike(&cell, EstimatorInput::Relation));
+        assert!(!unlike(&cell, EstimatorInput::RowCount), "Uniform reads the row count only");
+        let dearer = from_text("dearer", CARS_CSV, DEALER_BODY, 51.0);
+        let fewer = from_text(
+            "fewer",
+            CARS_CSV,
+            &DEALER_BODY.replace("{ make, model, year } ;", "{ make, model } ;"),
+            50.0,
+        );
+        // The same forms, with one form's atoms swapped or the rules
+        // listed in another order: the permutation-closed planning views
+        // accept the same conditions, but the comparison is on the original
+        // grammar — conservative on purpose.
+        let permuted = from_text(
+            "permuted",
+            CARS_CSV,
+            &DEALER_BODY.replace("make = $str ^ price <= $int", "price <= $int ^ make = $str"),
+            50.0,
+        );
+        let reordered = from_text(
+            "reordered",
+            CARS_CSV,
+            "s2 -> year > $int ;\n\
+             s1 -> make = $str ^ price <= $int ;\n\
+             attributes :: s1 : { make, model, year, price } ;\n\
+             attributes :: s2 : { make, model, year } ;",
+            50.0,
+        );
+        for input in [EstimatorInput::Stats, EstimatorInput::RowCount, EstimatorInput::Relation] {
+            for other in [&dearer, &fewer, &permuted, &reordered] {
+                assert!(unlike(other, input), "{} vs base under {input:?}", other.name);
+                assert!(!other.plans_like(&base, input), "symmetric");
+            }
+        }
     }
 
     #[test]

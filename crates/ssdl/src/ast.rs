@@ -29,7 +29,7 @@ impl fmt::Display for Sym {
 }
 
 /// One CFG production `lhs -> rhs` (alternatives are separate rules).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rule {
     /// Left-hand-side nonterminal.
     pub lhs: String,

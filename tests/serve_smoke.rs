@@ -458,3 +458,69 @@ fn cli_limit_flag() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `levels` parenthesized levels alternating `^` and `_` over the car
+/// attributes, URL-encoded for a `/query?cond=` parameter.
+fn nested_cond(levels: usize) -> String {
+    let mut cond = String::from("make%20%3D%20%22BMW%22");
+    for d in 0..levels {
+        let op = if d % 2 == 0 { "%5E" } else { "_" };
+        let atom =
+            if d % 2 == 0 { format!("price%20%3E%20{d}") } else { format!("year%20%3C%20{d}") };
+        cond = format!("({atom}%20{op}%20{cond})");
+    }
+    cond
+}
+
+/// The condition parser's nesting cap guards the front door: a condition
+/// nested past it is a 400 rather than a stack overflow that aborts the
+/// process, the server keeps answering afterwards, and a condition nested
+/// exactly to the cap still plans and answers on a worker thread's default
+/// stack — through the full-relational member, whose grammar `Check`
+/// parses the whole nested condition.
+#[test]
+fn serve_survives_deeply_nested_conditions() {
+    use csqp_expr::parse::MAX_COND_DEPTH;
+    use csqp_expr::ValueType;
+    let full = Arc::new(Source::new(
+        datagen::cars(3, 400),
+        templates::full_relational(
+            "full",
+            &[
+                ("make", ValueType::Str),
+                ("model", ValueType::Str),
+                ("year", ValueType::Int),
+                ("color", ValueType::Str),
+                ("price", ValueType::Int),
+            ],
+        ),
+        CostParams::default(),
+    ));
+    let server = Server::bind(full, ServeConfig::default()).expect("bind an ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let handle = std::thread::spawn(move || server.run());
+
+    let deep = format!("{}make%20%3D%20%22BMW%22{}", "(".repeat(5_000), ")".repeat(5_000));
+    let r = http_get(addr, &format!("/query?attrs=model,year&cond={deep}"));
+    assert!(r.starts_with("HTTP/1.1 400"), "{}", &r[..r.len().min(300)]);
+    assert!(r.contains("nested deeper"), "{}", &r[..r.len().min(300)]);
+
+    let at_cap =
+        http_get(addr, &format!("/query?attrs=model,year&cond={}", nested_cond(MAX_COND_DEPTH)));
+    assert!(at_cap.starts_with("HTTP/1.1 200"), "{}", &at_cap[..at_cap.len().min(300)]);
+    assert!(at_cap.contains("rows (est cost"), "{}", &at_cap[..at_cap.len().min(300)]);
+    let past_cap = http_get(
+        addr,
+        &format!("/query?attrs=model,year&cond={}", nested_cond(MAX_COND_DEPTH + 1)),
+    );
+    assert!(past_cap.starts_with("HTTP/1.1 400"), "{}", &past_cap[..past_cap.len().min(300)]);
+
+    let q = http_get(
+        addr,
+        "/query?cond=make%20%3D%20%22BMW%22%20%5E%20price%20%3C%2040000&attrs=model,year",
+    );
+    assert!(q.starts_with("HTTP/1.1 200"), "{q}");
+    assert!(q.contains("rows (est cost"), "{q}");
+    assert!(http_get(addr, "/shutdown").contains("shutting down"));
+    handle.join().expect("server thread").expect("accept loop exits cleanly");
+}
